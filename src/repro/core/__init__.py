@@ -16,7 +16,16 @@ Public surface:
 """
 
 from .application import BASELINE_CACHE_BYTES, Application, Workload
-from .baselines import all_proc_cache, fair, random_partition, zero_cache
+from .baselines import (
+    all_proc_cache,
+    all_proc_cache_batch,
+    fair,
+    fair_batch,
+    random_partition,
+    random_partition_batch,
+    zero_cache,
+    zero_cache_batch,
+)
 from .batch import (
     BatchProblem,
     BatchSchedule,
@@ -121,6 +130,10 @@ __all__ = [
     "fair",
     "zero_cache",
     "random_partition",
+    "all_proc_cache_batch",
+    "fair_batch",
+    "zero_cache_batch",
+    "random_partition_batch",
     "register",
     "get_scheduler",
     "get_entry",

@@ -14,6 +14,11 @@
   cache with Theorem-3 fractions inside it; processors equal-finish.
   Isolates the value of choosing a *dominant* subset rather than an
   arbitrary one.
+
+Each baseline has a ``*_batch`` twin over a
+:class:`~repro.core.batch.BatchProblem` whose rows are bit-identical to
+the scalar function on that instance alone (randomized rows draw from
+their own generator, exactly as the scalar call would).
 """
 
 from __future__ import annotations
@@ -21,12 +26,32 @@ from __future__ import annotations
 import numpy as np
 
 from .application import Workload
-from .dominance import cache_weights, optimal_cache_fractions
+from .batch import (
+    BatchProblem,
+    BatchSchedule,
+    equal_finish_allocation_batch,
+    execution_times_batch,
+)
+from .dominance import (
+    cache_weights,
+    cache_weights_batch,
+    optimal_cache_fractions,
+    optimal_cache_fractions_batch,
+)
 from .platform import Platform
 from .processor_allocation import build_equal_finish_schedule
 from .schedule import Schedule, SequentialSchedule
 
-__all__ = ["all_proc_cache", "fair", "zero_cache", "random_partition"]
+__all__ = [
+    "all_proc_cache",
+    "fair",
+    "zero_cache",
+    "random_partition",
+    "all_proc_cache_batch",
+    "fair_batch",
+    "zero_cache_batch",
+    "random_partition_batch",
+]
 
 
 def all_proc_cache(workload: Workload, platform: Platform) -> SequentialSchedule:
@@ -78,3 +103,57 @@ def random_partition(
     else:
         x = np.zeros(workload.n)
     return build_equal_finish_schedule(workload, platform, x)
+
+
+def all_proc_cache_batch(problem: BatchProblem) -> list[SequentialSchedule]:
+    """Batched :func:`all_proc_cache`, each row carrying its times."""
+    procs = np.broadcast_to(problem.p[:, None], problem.valid.shape)
+    times = execution_times_batch(problem, procs, np.ones(problem.valid.shape))
+    return [SequentialSchedule(wl, pf, times=times[i, :wl.n].copy())
+            for i, (wl, pf) in enumerate(problem.instances)]
+
+
+def fair_batch(problem: BatchProblem) -> BatchSchedule:
+    """Batched :func:`fair`.
+
+    The frequency totals come from each workload's own ``freq.sum()``
+    (NumPy's pairwise summation), the exact reduction the scalar
+    function uses — a padded row would reassociate it differently.
+    """
+    totals = np.array([float(wl.freq.sum()) for wl, _ in problem.instances])
+    counts = problem.counts[:, None]
+    procs = np.where(problem.valid, problem.p[:, None] / counts, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = problem.freq / totals[:, None]
+    cache = np.where(totals[:, None] > 0, shares, 1.0 / counts)
+    return BatchSchedule(problem, procs, np.where(problem.valid, cache, 0.0))
+
+
+def zero_cache_batch(problem: BatchProblem) -> BatchSchedule:
+    """Batched :func:`zero_cache`."""
+    x = np.zeros(problem.valid.shape)
+    procs, _ = equal_finish_allocation_batch(problem, x)
+    return BatchSchedule(problem, procs, x)
+
+
+def random_partition_batch(
+    problem: BatchProblem,
+    rngs=None,
+) -> BatchSchedule:
+    """Batched :func:`random_partition`.
+
+    Row ``i`` draws its ``n_i`` coin flips from ``rngs[i]`` (a fresh
+    unseeded generator when None), the same stream the scalar call
+    would consume.  Rows whose draw selects nobody get zero fractions,
+    as in the scalar 0cache degeneration.
+    """
+    weights = cache_weights_batch(problem)
+    masks = (weights > 0) & problem.valid
+    if rngs is None:
+        rngs = [None] * len(problem)
+    for i, (rng, n) in enumerate(zip(rngs, problem.counts.tolist())):
+        rng = rng if rng is not None else np.random.default_rng()
+        masks[i, :n] &= rng.random(n) < 0.5
+    x = optimal_cache_fractions_batch(problem, masks, weights=weights)
+    procs, _ = equal_finish_allocation_batch(problem, x)
+    return BatchSchedule(problem, procs, x)

@@ -230,16 +230,18 @@ def equal_finish_makespan_batch(
 
 
 class BatchSchedule:
-    """Equal-finish schedules for a whole batch, kept as arrays.
+    """Concurrent schedules for a whole batch, kept as arrays.
 
-    The result of :func:`repro.core.heuristics.dominant_schedule_batch`:
-    processor and cache arrays of shape ``(B, N)`` plus the originating
-    :class:`BatchProblem`.  Execution times and makespans are computed
-    vectorized; :meth:`schedules` materializes per-row
-    :class:`~repro.core.schedule.Schedule` objects (with full
-    validation) only when a consumer needs them — constructing ``B``
-    Schedule objects costs more than solving the batch, so the hot
-    paths stay on the arrays.
+    The result of :func:`repro.core.heuristics.dominant_schedule_batch`
+    and of the concurrent baselines' ``*_batch`` twins in
+    :mod:`repro.core.baselines`: processor and cache arrays of shape
+    ``(B, N)`` plus the originating :class:`BatchProblem`.  Execution
+    times and makespans are computed vectorized; :meth:`schedules`
+    materializes per-row :class:`~repro.core.schedule.Schedule` objects
+    (with full validation, each carrying its row of the times) only
+    when a consumer needs them — constructing ``B`` Schedule objects
+    costs more than solving the batch, so the hot paths stay on the
+    arrays.
     """
 
     __slots__ = ("problem", "procs", "cache", "makespans_", "_times")
@@ -270,17 +272,18 @@ class BatchSchedule:
         return np.where(self.problem.valid, self.times(), -np.inf).max(axis=1)
 
     def schedules(self, *, validate: bool = True) -> list[Schedule]:
-        """Materialize one :class:`Schedule` per row."""
-        out = []
-        for i, (wl, pf) in enumerate(self.problem.instances):
-            n = wl.n
-            out.append(Schedule(wl, pf, self.procs[i, :n].copy(),
-                                self.cache[i, :n].copy(), validate=validate))
-        return out
+        """Materialize one :class:`Schedule` per row.
 
-    def schedule(self, i: int) -> Schedule:
+        Each schedule receives its row of :meth:`times`, so its
+        makespan reads the batch's execution times instead of
+        evaluating Eq. 2 again.
+        """
+        return [self.schedule(i, validate=validate) for i in range(len(self))]
+
+    def schedule(self, i: int, *, validate: bool = True) -> Schedule:
         """Materialize the :class:`Schedule` of row *i*."""
         wl, pf = self.problem.row(i)
         n = wl.n
         return Schedule(wl, pf, self.procs[i, :n].copy(),
-                        self.cache[i, :n].copy())
+                        self.cache[i, :n].copy(), validate=validate,
+                        times=self.times()[i, :n].copy())

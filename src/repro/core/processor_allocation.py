@@ -30,7 +30,14 @@ edge can never overshoot the root; whenever the step is unusable
 (singular ``g``, out of bracket) the iteration falls back to plain
 bisection, keeping convergence guaranteed.  ``"brentq"`` (SciPy) and
 ``"bisect"`` (the paper's literal binary search) are retained for the
-solver-ablation benchmark.
+solver-ablation benchmark; SciPy is imported only inside the
+``"brentq"`` branch, so nothing else in the package needs it.
+
+Batches of at most :data:`ROW_BY_ROW_MAX_ROWS` rows are solved row by
+row through the Python-float transcription :func:`_equal_finish_single`
+— array-op dispatch costs more than the arithmetic at that size.  The
+transcription is bit-identical to a row of the vectorized solve, so
+the cut is invisible in the results.
 """
 
 from __future__ import annotations
@@ -38,7 +45,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..types import SolverError
 from .application import Workload
@@ -54,7 +60,12 @@ __all__ = [
     "equal_finish_batch",
     "build_equal_finish_schedule",
     "processor_demand",
+    "ROW_BY_ROW_MAX_ROWS",
 ]
+
+#: Largest batch :func:`equal_finish_batch` solves row by row on Python
+#: floats; wider batches take the vectorized path.
+ROW_BY_ROW_MAX_ROWS = 4
 
 
 def lemma2_processor_allocation(
@@ -136,17 +147,19 @@ def equal_finish_batch(
     if (counts < 1).any():
         raise SolverError("every batch row needs at least one valid application")
 
-    if B == 1:
-        # Scalar fast path: the same algorithm on Python floats (see
-        # _equal_finish_single) — array-op dispatch overhead dominates
-        # at B == 1.  Bit-identical to the vectorized body below, which
-        # the golden batch-equivalence sweep asserts.
-        idx = np.flatnonzero(valid[0])
-        procs_row, K1 = _equal_finish_single(
-            seq[0, idx].tolist(), c[0, idx].tolist(), float(p[0]), xtol)
-        procs = np.zeros((1, N))
-        procs[0, idx] = procs_row
-        return procs, np.array([K1])
+    if B <= ROW_BY_ROW_MAX_ROWS:
+        # Small-batch fast path: the same algorithm on Python floats,
+        # one row at a time (see _equal_finish_single) — array-op
+        # dispatch overhead dominates at this size.  Bit-identical to
+        # the vectorized body below, which the golden batch-equivalence
+        # sweep asserts on both sides of the cut.
+        procs = np.zeros((B, N))
+        K = np.empty(B)
+        for r in range(B):
+            idx = np.flatnonzero(valid[r])
+            procs[r, idx], K[r] = _equal_finish_single(
+                seq[r, idx].tolist(), c[r, idx].tolist(), float(p[r]), xtol)
+        return procs, K
     one_minus = np.where(valid, 1.0 - seq, 0.0)
     pcol = p[:, None]
 
@@ -395,6 +408,8 @@ def equal_finish_makespan(
         return _bisect(g, lo, hi, xtol=xtol)
     if method != "brentq":
         raise ValueError(f"unknown method {method!r}")
+    from scipy.optimize import brentq  # ablation only: keeps SciPy optional
+
     try:
         return float(brentq(g, lo, hi, xtol=max(xtol * lo, 1e-300), rtol=1e-14))
     except ValueError as exc:  # pragma: no cover - bracket guaranteed above

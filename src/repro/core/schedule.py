@@ -28,6 +28,16 @@ from .platform import Platform
 __all__ = ["BaseSchedule", "Schedule", "SequentialSchedule"]
 
 
+def _given_times(times, n: int) -> Optional[np.ndarray]:
+    """Shape-checked precomputed execution times, or None."""
+    if times is None:
+        return None
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    if times.shape != (n,):
+        raise ModelError(f"times must have shape ({n},), got {times.shape}")
+    return times
+
+
 class BaseSchedule(abc.ABC):
     """Common interface for concurrent and sequential schedules."""
 
@@ -81,6 +91,10 @@ class Schedule(BaseSchedule):
         at construction and :class:`InfeasibleScheduleError` is raised
         on violation (with :data:`~repro.types.FEASIBILITY_SLACK`
         slack to absorb solver tolerance).
+    times : array_like, optional
+        Precomputed ``Exe_i(p_i, x_i)`` of exactly this allocation —
+        a row of a batch solve, bit-identical to what :meth:`times`
+        would compute — so the makespan never evaluates Eq. 2 again.
     """
 
     def __init__(
@@ -91,6 +105,7 @@ class Schedule(BaseSchedule):
         cache,
         *,
         validate: bool = True,
+        times=None,
     ):
         self.workload = workload
         self.platform = platform
@@ -104,7 +119,7 @@ class Schedule(BaseSchedule):
             raise ModelError(
                 f"cache must have shape ({workload.n},), got {self.cache.shape}"
             )
-        self._times: Optional[np.ndarray] = None
+        self._times = _given_times(times, workload.n)
         if validate:
             self.assert_feasible()
 
@@ -180,15 +195,17 @@ class SequentialSchedule(BaseSchedule):
 
     This is the paper's ``AllProcCache`` reference point: every
     application gets all ``p`` processors and the whole LLC, and the
-    makespan is the sum of the individual execution times.
+    makespan is the sum of the individual execution times.  *times*,
+    when given, are precomputed per-application times (see
+    :class:`Schedule`).
     """
 
-    def __init__(self, workload: Workload, platform: Platform):
+    def __init__(self, workload: Workload, platform: Platform, *, times=None):
         self.workload = workload
         self.platform = platform
         self.procs = np.full(workload.n, float(platform.p))
         self.cache = np.ones(workload.n)
-        self._times: Optional[np.ndarray] = None
+        self._times = _given_times(times, workload.n)
 
     @property
     def concurrent(self) -> bool:

@@ -16,15 +16,17 @@ is a pure function of the task record.  That is what makes the grid
 embarrassingly parallel and the results cacheable.
 
 Within each chunk, tasks for schedulers that expose a vectorized
-``batch_fn`` (the six paper heuristics) are evaluated through one
-structure-of-arrays batch call (:mod:`repro.core.batch`) rather than
-one Python call per task; the batch path is bit-identical to the
-scalar path, so this too is a pure optimization.
+``batch_fn`` (the six paper heuristics and the four Section 6.3
+baselines) are evaluated through one structure-of-arrays batch call
+(:mod:`repro.core.batch`) rather than one Python call per task; the
+batch path is bit-identical to the scalar path, so this too is a pure
+optimization.  The serial backend evaluates the whole grid as one
+chunk, so each scheduler gets a single batch covering every rep.
 
 Backends
 --------
 ``"serial"``
-    In-process loop over the tasks (the default; no new behavior).
+    In-process evaluation of the whole grid as one batch (the default).
 ``"process"``
     A ``multiprocessing`` pool (fork start method) over chunked task
     batches.  Worker processes inherit the experiment object through
@@ -265,13 +267,14 @@ def _run_batch(exp: "Experiment", batch: Iterable[Task]) -> list[dict[str, float
     the batch — rebuilding from ``instance_seed`` is deterministic, so
     the memo is a pure optimization.
 
-    Tasks whose scheduler entry carries a vectorized ``batch_fn`` (and
-    whose experiment uses the default schedule-metric evaluation) are
-    collected per scheduler and shipped through one batch call instead
-    of one Python call each.  The batch path is bit-identical to the
-    scalar path by construction (see :mod:`repro.core.batch`) and each
-    task still gets its own generator seeded from ``scheduler_seed``,
-    so results do not depend on grouping.  If a batch call fails, the
+    Tasks whose scheduler entry carries a vectorized ``batch_fn`` (every
+    paper heuristic and baseline does) and whose experiment uses the
+    default schedule-metric evaluation are collected per scheduler and
+    shipped through one batch call instead of one Python call each.
+    The batch path is bit-identical to the scalar path by construction
+    (see :mod:`repro.core.batch`) and each task still gets its own
+    generator seeded from ``scheduler_seed``, so results do not depend
+    on grouping.  If a batch call fails, the
     group falls back to the scalar loop so error messages (and any
     partial successes) match the serial engine exactly.
     """
@@ -347,13 +350,11 @@ def _execute_serial(
     tasks: Sequence[Task],
     progress: Callable[[str], None] | None,
 ) -> list[dict[str, float]]:
-    per_rep = exp.points.size * len(exp.schedulers)
-    results: list[dict[str, float]] = []
-    for r in range(exp.reps):
-        batch = tasks[r * per_rep:(r + 1) * per_rep]
-        results.extend(_run_batch(exp, batch))
-        if progress is not None:
-            progress(f"{exp.experiment_id}: rep {r + 1}/{exp.reps} done")
+    # One batch for the whole grid: every scheduler's cells across all
+    # reps share a single structure-of-arrays call.
+    results = _run_batch(exp, tasks)
+    if progress is not None:
+        progress(f"{exp.experiment_id}: {len(tasks)}/{len(tasks)} tasks done")
     return results
 
 

@@ -17,7 +17,6 @@ fraction-based strategy can achieve for a given platform.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..core.application import Workload
 from ..core.dominance import optimal_cache_fractions
@@ -76,6 +75,8 @@ def optimize_fractions(
 
     baseline = objective(x0)
     scale = baseline if baseline > 0 else 1.0
+
+    from scipy.optimize import minimize  # optional dependency, loaded on use
 
     result = minimize(
         lambda x: objective(x) / scale,

@@ -38,6 +38,7 @@ from repro.core import (
     sequential_times_batch,
 )
 from repro.core.heuristics import evict_until_dominant, evict_until_dominant_batch
+from repro.core.registry import _REGISTRY, register
 from repro.machine import small_llc, taihulight, xeon_e5_2690
 from repro.types import ModelError
 from repro.workloads import npb_synth, random_workload
@@ -264,12 +265,20 @@ class TestScheduleBatchRegistry:
             assert np.array_equal(ref.cache, s.cache)
 
     def test_fallback_without_batch_fn(self):
+        # Every built-in strategy is batched, so register a scalar-only
+        # copy of one to cover schedule_batch's per-instance fallback.
         instances = _ragged_instances(5, seed=7)
-        assert get_scheduler("fair").batch_fn is None
-        for s, (wl, pf) in zip(schedule_batch("fair", instances), instances):
-            ref = get_scheduler("fair")(wl, pf, None)
-            assert np.array_equal(ref.procs, s.procs)
-            assert np.array_equal(ref.cache, s.cache)
+        fair = get_scheduler("fair")
+        register("scalar-only-fair", fair.fn, overwrite=True)
+        try:
+            assert get_scheduler("scalar-only-fair").batch_fn is None
+            for s, (wl, pf) in zip(
+                    schedule_batch("scalar-only-fair", instances), instances):
+                ref = fair(wl, pf, None)
+                assert np.array_equal(ref.procs, s.procs)
+                assert np.array_equal(ref.cache, s.cache)
+        finally:
+            _REGISTRY.pop("scalar-only-fair", None)
 
     def test_empty_instances(self):
         assert schedule_batch("dominant-minratio", []) == []

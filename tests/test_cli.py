@@ -254,3 +254,23 @@ class TestOnlineCommand:
 
         with _pytest.raises(ModelError):
             main(["online", "--napps", "4", "--arrivals", "storm:heavy"])
+
+
+class TestColdImport:
+    def test_cli_import_does_not_load_scipy(self):
+        """SciPy is optional: importing the CLI must not pull it in."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
