@@ -36,6 +36,9 @@ service time by the pool available at its arrival.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
+
 import numpy as np
 
 from ..core.application import Workload
@@ -44,6 +47,7 @@ from ..simulate.kernel import (
     EventLog,
     QueueKernelResult,
     at_or_before,
+    boundary_tol,
     run_queue_kernel,
 )
 from ..types import ModelError
@@ -62,7 +66,9 @@ def pool_trajectory(compiled: CompiledFaults, p: float) -> list[tuple[float, flo
     """Stepwise ``(time, pool size)`` trajectory of a compiled stream.
 
     Starts at ``(0.0, p)``; each churn event appends the post-event
-    pool, which holds until the next entry.
+    pool, which holds until the next entry.  The entry times never
+    decrease (the compiled stream is time-sorted), as :func:`pool_at`
+    requires.
     """
     timeline = [(0.0, float(p))]
     pool = float(p)
@@ -78,14 +84,16 @@ def pool_trajectory(compiled: CompiledFaults, p: float) -> list[tuple[float, flo
 
 
 def pool_at(timeline: list[tuple[float, float]], t: float) -> float:
-    """Pool size at instant *t* under a stepwise trajectory."""
-    pool = timeline[0][1]
-    for time, size in timeline:
-        if at_or_before(time, t):
-            pool = size
-        else:
-            break
-    return pool
+    """Pool size at instant *t* under a stepwise trajectory.
+
+    The size of the last entry whose time is at or before *t* (with the
+    kernel's tolerance at *t*'s scale, so an entry at *t* itself is in
+    force), or the first entry's size when none is.  The entry times
+    must never decrease, as they do not in :func:`pool_trajectory` or
+    :attr:`FaultInjector.pool_timeline`; the lookup is a bisection.
+    """
+    k = bisect_right(timeline, t + boundary_tol(t), key=itemgetter(0))
+    return timeline[max(k - 1, 0)][1]
 
 
 class FaultInjector:
@@ -127,7 +135,8 @@ class FaultInjector:
     pool : float
         Instantaneous processor pool.
     pool_timeline : list[tuple[float, float]]
-        Stepwise pool history, starting ``(0.0, platform.p)``.
+        Stepwise pool history, starting ``(0.0, platform.p)``; entry
+        times never decrease (faults apply in stream order).
     crashes, preemptions : int
         Faults that actually struck a running application.
     dropped_faults : int

@@ -123,26 +123,97 @@ class Workload(Sequence[Application]):
     ``baseline_cache``) are read-only ``float64`` arrays of length
     ``n``; downstream code indexes them with boolean masks to express
     partitions ``(IC, not IC)``.
+
+    A workload built by :meth:`remaining` holds its columns only; its
+    :class:`Application` objects are built on first use (iteration,
+    indexing, ``names``, ``repr``), because the schedulers read columns.
     """
 
-    __slots__ = ("_apps", "work", "seq", "freq", "miss0", "footprint", "baseline_cache")
+    __slots__ = ("_app_tuple", "_source", "work", "seq", "freq", "miss0",
+                 "footprint", "baseline_cache")
 
     def __init__(self, applications: Iterable[Application]):
         apps = tuple(applications)
         if not apps:
             raise ModelError("a workload needs at least one application")
-        self._apps = apps
+        self._app_tuple: tuple[Application, ...] | None = apps
+        self._source = None
         self.work = _readonly([a.work for a in apps], "work")
         self.seq = _readonly([a.seq_fraction for a in apps], "seq_fraction")
         self.freq = _readonly([a.access_freq for a in apps], "access_freq")
         self.miss0 = _readonly([a.miss_rate for a in apps], "miss_rate")
-        self.footprint = np.asarray([a.footprint for a in apps], dtype=np.float64)
-        self.footprint.flags.writeable = False
+        self.footprint = _frozen(np.asarray([a.footprint for a in apps], dtype=np.float64))
         self.baseline_cache = _readonly([a.baseline_cache for a in apps], "baseline_cache")
+
+    @property
+    def _apps(self) -> tuple[Application, ...]:
+        if self._app_tuple is None:
+            # A remaining() snapshot: (parent, idx, untouched) rebuilds
+            # each touched application from this workload's columns.
+            parent, idx, untouched = self._source
+            apps = parent._apps
+            self._app_tuple = tuple(
+                apps[i] if keep else apps[i].scaled(work=w, seq_fraction=s)
+                for i, keep, w, s in zip(idx.tolist(), untouched.tolist(),
+                                         self.work.tolist(), self.seq.tolist()))
+            self._source = None
+        return self._app_tuple
+
+    def remaining(self, idx, seq_left, par_left) -> "Workload":
+        """Snapshot of applications *idx* carrying only their remaining work.
+
+        *seq_left* / *par_left* are length-``n`` arrays of remaining
+        sequential / parallel operations (the event kernel's state).
+        Application ``i`` of the snapshot has ``work = seq_left[i] +
+        par_left[i]`` and ``seq_fraction = seq_left[i] / work`` —
+        bit-equal to ``self[i].scaled(work=..., seq_fraction=...)`` —
+        except that an application nothing has run on (its remaining
+        operations still equal ``seq * work`` and ``(1 - seq) * work``
+        exactly) keeps its own ``work`` and ``seq_fraction``: re-deriving
+        them would move them by an ulp.  The other columns are sliced
+        from this workload.
+
+        Raises :class:`ModelError`, with :class:`Application`'s message,
+        when an application's remaining work is not positive and finite.
+        """
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size == 0:
+            raise ModelError("a workload needs at least one application")
+        seq_ops = np.asarray(seq_left, dtype=np.float64)[idx]
+        par_ops = np.asarray(par_left, dtype=np.float64)[idx]
+        work0 = self.work[idx]
+        seq0 = self.seq[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            work = seq_ops + par_ops
+            seq = seq_ops / work
+        untouched = (seq_ops == seq0 * work0) & (par_ops == (1.0 - seq0) * work0)
+        work = np.where(untouched, work0, work)
+        seq = np.where(untouched, seq0, seq)
+        bad_work = ~((work > 0) & np.isfinite(work))
+        bad = bad_work | ~((seq >= 0.0) & (seq <= 1.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            name = self._apps[int(idx[k])].name
+            if bad_work[k]:
+                raise ModelError(
+                    f"{name}: work must be positive and finite, got {float(work[k])}")
+            raise ModelError(
+                f"{name}: seq_fraction must be in [0, 1], got {float(seq[k])}")
+
+        snap = Workload.__new__(Workload)
+        snap._app_tuple = None
+        snap._source = (self, idx, untouched)
+        snap.work = _frozen(work)
+        snap.seq = _frozen(seq)
+        snap.freq = _frozen(self.freq[idx])
+        snap.miss0 = _frozen(self.miss0[idx])
+        snap.footprint = _frozen(self.footprint[idx])
+        snap.baseline_cache = _frozen(self.baseline_cache[idx])
+        return snap
 
     # -- Sequence protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._apps)
+        return self.work.size
 
     def __iter__(self) -> Iterator[Application]:
         return iter(self._apps)
@@ -161,7 +232,7 @@ class Workload(Sequence[Application]):
     @property
     def n(self) -> int:
         """Number of applications."""
-        return len(self._apps)
+        return self.work.size
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -213,6 +284,9 @@ class Workload(Sequence[Application]):
 
 
 def _readonly(values, name: str) -> np.ndarray:
-    arr = as_float_array(values, name=name)
+    return _frozen(as_float_array(values, name=name))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr

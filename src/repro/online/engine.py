@@ -170,6 +170,11 @@ def _registry_allocation(
     The entry sees a snapshot workload whose applications carry their
     *remaining* work and the sequential fraction of that remainder, so
     an offline strategy re-solves the shrinking instance at each event.
+    The snapshot is built from columns (:meth:`Workload.remaining`):
+    no :class:`~repro.core.application.Application` is rebuilt unless
+    the scheduler iterates the snapshot, and an application nothing has
+    run on yet is passed through unchanged, so a re-solve before any
+    progress sees exactly the offline instance.
     """
     try:
         entry = get_entry(policy)
@@ -179,13 +184,7 @@ def _registry_allocation(
             f"{', '.join(BUILTIN_POLICIES)}, plus any registered "
             f"concurrent scheduler ({', '.join(scheduler_names())})"
         ) from None
-    snapshot = Workload(
-        workload[int(i)].scaled(
-            work=float(seq_left[i] + par_left[i]),
-            seq_fraction=float(seq_left[i] / (seq_left[i] + par_left[i])),
-        )
-        for i in idx
-    )
+    snapshot = workload.remaining(idx, seq_left, par_left)
     schedule = entry(snapshot, platform, rng)
     if not schedule.concurrent:
         raise ModelError(

@@ -276,6 +276,14 @@ def run_phase_kernel(
 ) -> PhaseKernelResult:
     """Run the two-phase (sequential then parallel) event clock.
 
+    Each event costs one allocation plus a fixed number of array
+    passes over the ``n`` applications: the phase-boundary tolerances
+    ``ABS_TOL + REL_TOL * |work|`` are computed once per run, and the
+    applications crossing a boundary are found with masks, so Python
+    loops only over the crossings (logged in index order, each ``seq-done``
+    before its ``done``, with ``on_complete`` run right after each
+    ``done``).
+
     Parameters
     ----------
     work : numpy.ndarray
@@ -313,6 +321,7 @@ def run_phase_kernel(
     """
     work = np.asarray(work, dtype=np.float64)
     n = work.size
+    tol = ABS_TOL + REL_TOL * np.abs(work)
     seq_left = np.asarray(seq_work, dtype=np.float64).copy()
     par_left = np.asarray(par_work, dtype=np.float64).copy()
     if arrivals is None:
@@ -384,13 +393,16 @@ def run_phase_kernel(
         par_left = np.where(in_par, np.maximum(par_left - progress, 0.0), par_left)
 
         # Phase transitions, with the canonical tolerance at the scale
-        # of each application's total work.
-        for i in np.flatnonzero(active):
-            tol = boundary_tol(work[i])
-            if in_seq[i] and seq_left[i] <= tol:
-                seq_left[i] = 0.0
+        # of each application's total work.  Only the crossings are
+        # visited, in index order: on_complete sees ``finished`` grow
+        # one application at a time.
+        crossed = in_seq & (seq_left <= tol)
+        seq_left[crossed] = 0.0
+        done = active & (seq_left == 0.0) & (par_left <= tol)
+        for i in np.flatnonzero(crossed | done):
+            if crossed[i]:
                 log.record(now, "seq-done", i)
-            if seq_left[i] == 0.0 and par_left[i] <= tol:
+            if done[i]:
                 par_left[i] = 0.0
                 finished[i] = True
                 finish[i] = now

@@ -7,19 +7,25 @@ time is hand-computable: rate = procs / factor.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import (
     CompiledFaults,
     FaultEvent,
     FaultInjector,
     inject_queue,
+    parse_fault_spec,
     pool_at,
     pool_trajectory,
+    run_chaos,
 )
 from repro.core import Application, Platform, Workload
-from repro.simulate.kernel import EventLog, run_phase_kernel
+from repro.simulate.kernel import EventLog, at_or_before, boundary_tol, run_phase_kernel
 from repro.types import ModelError
 
 P = 4.0
@@ -78,6 +84,63 @@ class TestPoolTrajectory:
         )
         assert pool_trajectory(compiled, 4.0) == [
             (0.0, 4.0), (2.0, 3.0), (4.0, 5.0)]
+
+
+def _pool_at_scan(timeline, t):
+    """The linear scan ``pool_at`` replaced, kept as its reference."""
+    pool = timeline[0][1]
+    for time, size in timeline:
+        if at_or_before(time, t):
+            pool = size
+        else:
+            break
+    return pool
+
+
+#: Gaps between successive timeline entries: duplicates (0), gaps
+#: inside the tolerance, and ordinary ones up to the chaos time scale.
+_GAPS = st.one_of(st.just(0.0), st.floats(1e-15, 1e-9), st.floats(1e-9, 1e11))
+
+
+class TestPoolAtBisection:
+    @settings(max_examples=300, deadline=None)
+    @given(gaps=st.lists(_GAPS, max_size=12),
+           start=st.sampled_from([0.0, 1e-13, 3.0, 5e9]),
+           extra=st.lists(st.floats(-1.0, 2e12), max_size=4))
+    def test_matches_linear_scan(self, gaps, start, extra):
+        times = list(accumulate(gaps, initial=start))
+        # Distinct sizes, so the answer names the entry it came from.
+        timeline = [(t, float(k)) for k, t in enumerate(times)]
+        queries = list(extra)
+        for t in times:
+            tol = boundary_tol(t)
+            queries += [t, t - tol / 2, t - tol, t - 2 * tol, t + tol,
+                        np.nextafter(t - tol, -np.inf),
+                        np.nextafter(t - tol, np.inf)]
+        for q in queries:
+            assert pool_at(timeline, q) == _pool_at_scan(timeline, q), q
+
+    def test_tolerance_edges(self):
+        timeline = [(0.0, 4.0), (1e10, 2.0), (1e10, 3.0), (2e10, 5.0)]
+        tol = boundary_tol(1e10)
+        assert pool_at(timeline, 1e10) == 3.0  # last duplicate wins
+        assert pool_at(timeline, 1e10 - tol / 2) == 3.0  # within tolerance
+        assert pool_at(timeline, 1e10 - 2 * tol) == 4.0  # just past it
+        assert pool_at(timeline, -1.0) == 4.0  # before the first entry
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_timelines_never_decrease(self, seed):
+        """The precondition of the bisection, on both pool histories."""
+        spec = "churn:period=3e8,drop=0.5+crash:hazard=2e-9,delay=1e8"
+        wl = _workload(*[(1e9 * (1 + k % 3), 0.05 * (k % 3)) for k in range(6)])
+        compiled = parse_fault_spec(spec).compile(
+            wl.n, P, 1e10, np.random.default_rng(seed))
+        trajectory = pool_trajectory(compiled, P)
+        result = run_chaos(wl, _platform(), faults=compiled, policy="fair")
+        for timeline in (trajectory, result.pool_timeline):
+            assert len(timeline) > 2
+            times = [t for t, _ in timeline]
+            assert times == sorted(times)
 
 
 class TestCrash:

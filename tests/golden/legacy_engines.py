@@ -5,7 +5,11 @@ before the unified event kernel (:mod:`repro.simulate.kernel`):
 
 * the offline phase loop of ``repro/simulate/engine.py``,
 * the online arrival loop of ``repro/online/engine.py``,
-* the batch-queue recurrence of ``repro/pipeline/queueing.py``.
+* the batch-queue recurrence of ``repro/pipeline/queueing.py``;
+
+plus the event kernel's own phase clock as it was before its phase
+transitions were found with array masks (a Python loop over every
+active application at every event).
 
 They exist only as golden references: the ``kernel_equivalence`` test
 suite re-runs seeded sweeps through both the legacy loops below and the
@@ -29,6 +33,15 @@ from repro.core.execution import access_cost_factor
 from repro.core.platform import Platform
 from repro.core.registry import get_entry, scheduler_names
 from repro.online.allocation import remaining_equal_finish
+from repro.simulate.kernel import (
+    AllocateFn,
+    CompleteFn,
+    EventLog,
+    PhaseKernelResult,
+    TimelineFn,
+    at_or_before,
+    boundary_tol,
+)
 from repro.types import ModelError
 
 _EPS = 1e-12
@@ -272,6 +285,136 @@ def legacy_simulate_online(workload, platform, arrival_times, *,
         arrived |= newly
 
     return finish, events
+
+
+# ---------------------------------------------------------------------------
+# Legacy phase clock (repro/simulate/kernel.py before the vector
+# phase-boundary pass).
+# ---------------------------------------------------------------------------
+
+def legacy_run_phase_kernel(
+    work: np.ndarray,
+    seq_work: np.ndarray,
+    par_work: np.ndarray,
+    *,
+    allocate: AllocateFn,
+    arrivals: np.ndarray | None = None,
+    on_complete: CompleteFn | None = None,
+    timeline: TimelineFn | None = None,
+    max_events: int | None = None,
+    budget_message: str = "simulation exceeded its event budget",
+    log: EventLog | None = None,
+) -> PhaseKernelResult:
+    """The pre-vectorization ``run_phase_kernel``, verbatim.
+
+    Phase transitions are applied by a Python loop over every active
+    application at every event.  Same signature and result type as
+    :func:`repro.simulate.kernel.run_phase_kernel`, so it can stand in
+    for it under ``simulate_online`` and ``run_chaos``.
+    """
+    work = np.asarray(work, dtype=np.float64)
+    n = work.size
+    seq_left = np.asarray(seq_work, dtype=np.float64).copy()
+    par_left = np.asarray(par_work, dtype=np.float64).copy()
+    if arrivals is None:
+        # Everyone present from the start: no admission events, no
+        # admission iteration — the offline convention.
+        arrivals = np.zeros(n)
+        arrived = np.ones(n, dtype=bool)
+    else:
+        arrivals = np.asarray(arrivals, dtype=np.float64)
+        arrived = np.zeros(n, dtype=bool)
+    finished = np.zeros(n, dtype=bool)
+    finish = np.zeros(n)
+    if log is None:
+        log = EventLog()
+    usage: list[tuple[float, float]] = []
+
+    now = 0.0
+    events = 0
+    limit = max_events if max_events is not None else 20 * n + 10
+
+    while not finished.all():
+        events += 1
+        if events > limit:
+            raise ModelError(budget_message)
+        active = arrived & ~finished
+        pending = ~arrived
+        next_arrival = float(arrivals[pending].min()) if pending.any() else np.inf
+
+        if not active.any():
+            # Idle: jump the clock straight to the next arrival (an
+            # exact assignment, not an accumulation).
+            usage.append((now, 0.0))
+            now = next_arrival
+            newly = pending & at_or_before(arrivals, now)
+            arrived |= newly
+            for i in np.flatnonzero(newly):
+                log.record(now, "arrival", i)
+            continue
+
+        procs, factors = allocate(now, active, seq_left, par_left)
+        usage.append((now, float(procs[active].sum())))
+
+        # Progress rates and per-application time to the next phase
+        # boundary.  A queued application (no processors) stalls.
+        in_seq = active & (seq_left > 0.0)
+        in_par = active & (seq_left <= 0.0)
+        rate = np.zeros(n)
+        held = procs > 0.0
+        sel = in_seq & held
+        rate[sel] = 1.0 / factors[sel]
+        rate[in_par] = procs[in_par] / factors[in_par]
+        remaining = np.where(in_seq, seq_left, par_left)
+        running = active & (rate > 0.0)
+        dt_finish = np.full(n, np.inf)
+        dt_finish[running] = remaining[running] / rate[running]
+        next_exo = np.inf if timeline is None else float(timeline(now))
+        dt = min(float(dt_finish.min()), next_arrival - now, next_exo - now)
+        if not np.isfinite(dt):
+            raise ModelError(
+                "kernel stalled: no running application, pending arrival, "
+                "or exogenous event can advance the clock"
+            )
+        dt = max(dt, 0.0)
+        now += dt
+
+        # Advance everyone by dt.
+        progress = rate * dt
+        seq_left = np.where(in_seq, np.maximum(seq_left - progress, 0.0), seq_left)
+        par_left = np.where(in_par, np.maximum(par_left - progress, 0.0), par_left)
+
+        # Phase transitions, with the canonical tolerance at the scale
+        # of each application's total work.
+        for i in np.flatnonzero(active):
+            tol = boundary_tol(work[i])
+            if in_seq[i] and seq_left[i] <= tol:
+                seq_left[i] = 0.0
+                log.record(now, "seq-done", i)
+            if seq_left[i] == 0.0 and par_left[i] <= tol:
+                par_left[i] = 0.0
+                finished[i] = True
+                finish[i] = now
+                log.record(now, "done", i)
+                if on_complete is not None:
+                    on_complete(int(i), now, ~finished)
+
+        # Admissions (after completions: an arrival coinciding with a
+        # completion event joins the system the moment it frees up).
+        newly = pending & at_or_before(arrivals, now)
+        if newly.any():
+            arrived |= newly
+            for i in np.flatnonzero(newly):
+                log.record(now, "arrival", i)
+
+    return PhaseKernelResult(
+        finish_times=finish,
+        events=events,
+        log=log,
+        usage=usage,
+        now=now,
+    )
+
 
 
 # ---------------------------------------------------------------------------

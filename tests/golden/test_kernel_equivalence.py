@@ -4,15 +4,23 @@ Every test here is marked ``kernel_equivalence`` (CI runs the marker as
 its own job) and asserts **bit-identical** results — ``==`` on floats,
 not ``approx`` — between the verbatim pre-kernel reference loops in
 :mod:`tests.golden.legacy_engines` and the kernel-backed engines, over
-seeded sweeps of workloads, schedules, arrival patterns, and queues.
+seeded sweeps of workloads, schedules, arrival patterns, and queues;
+and between the kernel and its earlier per-application phase loop,
+under the online and chaos engines.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.core import get_scheduler
+import repro.chaos.runner
+import repro.online.engine
+import repro.simulate.engine
+from repro.chaos import run_chaos
+from repro.core import Workload, get_scheduler
 from repro.machine import taihulight
 from repro.online import simulate_online
 from repro.pipeline import jittered_arrivals, simulate_batch_queue
@@ -20,6 +28,7 @@ from repro.simulate import simulate_schedule
 from repro.workloads import npb_synth, random_workload
 
 from .legacy_engines import (
+    legacy_run_phase_kernel,
     legacy_simulate_batch_queue,
     legacy_simulate_online,
     legacy_simulate_schedule,
@@ -117,3 +126,107 @@ class TestBatchQueue:
         assert np.array_equal(latencies, stats.latencies)
         assert depth == stats.max_queue_depth
         assert makespan == stats.makespan
+
+
+#: Churn plus crashes that destroy and re-queue work, at the time scale
+#: of the 8-application taihulight instances below.
+CHAOS_SPEC = "churn:period=2e10,drop=0.25+crash:hazard=1e-11,delay=1e9,lost=0.5"
+
+
+def _twinned_workload(seed: int) -> Workload:
+    """Four drawn applications, each twice: twins cross every phase
+    boundary at the same event.  One twin pair is purely sequential, so
+    each of its ``seq-done`` and ``done`` fall in the same event."""
+    apps = [replace(a, name=f"{a.name}.{k}")
+            for k, a in enumerate(list(_workload(seed, 4)) * 2)]
+    for k in (3, 7):
+        apps[k] = replace(apps[k], seq_fraction=1.0)
+    return Workload(apps)
+
+
+def _phase_runs(monkeypatch, run):
+    """``run()`` on the kernel, then on the per-application legacy loop."""
+    new = run()
+    with monkeypatch.context() as m:
+        for module in (repro.online.engine, repro.chaos.runner,
+                       repro.simulate.engine):
+            m.setattr(module, "run_phase_kernel", legacy_run_phase_kernel)
+        old = run()
+    return new, old
+
+
+def _same_instant_crossings(log) -> tuple[int, int]:
+    """Largest number of phase-boundary events logged at one instant,
+    and how many applications left both phases at one instant."""
+    events = log.as_tuples("seq-done", "done")
+    times = [t for t, _, _ in events]
+    both = sum((t, "seq-done", i) in events
+               for t, kind, i in events if kind == "done")
+    return max(times.count(t) for t in set(times)), both
+
+
+class TestPhaseBoundaryPass:
+    """The kernel's vector phase-boundary pass against the per-application
+    loop it replaced: identical finish times, event counts, usage
+    samples, and event logs, with and without injected faults."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("pattern", ["zeros", "stagger"])
+    @pytest.mark.parametrize("policy", ONLINE_POLICIES)
+    def test_online(self, pf, monkeypatch, seed, pattern, policy):
+        wl = _twinned_workload(seed)
+        arrivals = (np.zeros(8) if pattern == "zeros" else np.repeat(
+            np.sort(np.random.default_rng(seed).uniform(0, 1e10, 4)), 2))
+        new, old = _phase_runs(monkeypatch, lambda: simulate_online(
+            wl, pf, arrivals, policy=policy))
+        assert np.array_equal(new.finish_times, old.finish_times)
+        assert new.events == old.events
+        assert new.processor_usage == old.processor_usage
+        assert new.log.as_tuples() == old.log.as_tuples()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("policy", ONLINE_POLICIES)
+    def test_chaos(self, pf, monkeypatch, seed, policy):
+        wl = _twinned_workload(seed)
+        new, old = _phase_runs(monkeypatch, lambda: run_chaos(
+            wl, pf, faults=CHAOS_SPEC, policy=policy,
+            fault_rng=np.random.default_rng(seed)))
+        assert np.array_equal(new.finish_times, old.finish_times)
+        assert new.events == old.events
+        assert new.processor_usage == old.processor_usage
+        assert new.log.as_tuples() == old.log.as_tuples()
+        assert new.probe.as_rows() == old.probe.as_rows()
+        assert new.pool_timeline == old.pool_timeline
+        assert (new.crashes, new.lost_work) == (old.crashes, old.lost_work)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_work_conserving_completion_hook(self, pf, monkeypatch, seed):
+        """``on_complete`` sees the same alive masks, in the same order."""
+        wl = _twinned_workload(seed)
+        s = get_scheduler("fair")(wl, pf, None)
+        new, old = _phase_runs(monkeypatch, lambda: simulate_schedule(
+            s, policy="work-conserving"))
+        assert np.array_equal(new.finish_times, old.finish_times)
+        assert new.events == old.events
+        assert new.processor_usage == old.processor_usage
+
+    def test_sweep_covers_the_hard_cases(self, pf):
+        """Crashes that restore work, churn, and several applications
+        crossing a phase boundary in one event all occur in the sweep."""
+        crashes = lost = churn = crossings = both = 0
+        for seed in SEEDS:
+            wl = _twinned_workload(seed)
+            res = run_chaos(wl, pf, faults=CHAOS_SPEC, policy="fair",
+                            fault_rng=np.random.default_rng(seed))
+            clean = simulate_online(wl, pf, np.zeros(8), policy="fair")
+            crashes += res.crashes
+            lost += res.lost_work
+            churn += len(res.pool_timeline) - 1
+            for log in (res.log, clean.log):
+                most, pairs = _same_instant_crossings(log)
+                crossings = max(crossings, most)
+                both += pairs
+        assert crashes > 0 and lost > 0
+        assert churn > 0
+        assert crossings >= 2
+        assert both > 0
