@@ -54,7 +54,8 @@ from repro.online.arrivals import (  # noqa: E402
     PoissonProcess,
     TraceSource,
 )
-from repro.service.cache import DecisionCache, ShardedDecisionCache  # noqa: E402
+from repro.cache import LRUCache as DecisionCache  # noqa: E402
+from repro.cache import ShardedClockCache as ShardedDecisionCache  # noqa: E402
 
 #: Offered-load sweep points (requests/s).
 FULL_RATES = (3000, 8000, 14000, 20000, 30000, 40000)

@@ -209,7 +209,7 @@ def execution_times_batch(problem: BatchProblem, procs, cache_fractions) -> np.n
 
 
 def equal_finish_allocation_batch(
-    problem: BatchProblem, cache_fractions, *, xtol: float = 1e-12
+    problem: BatchProblem, cache_fractions
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched equal-finish allocation for given cache fractions.
 
@@ -217,16 +217,14 @@ def equal_finish_allocation_batch(
     padding) and ``K`` the per-row makespans, shape ``(B,)``.
     """
     c = sequential_times_batch(problem, cache_fractions)
-    return equal_finish_batch(problem.seq, c, problem.valid, problem.p,
-                              xtol=xtol)
+    return equal_finish_batch(problem.seq, c, problem.valid, problem.p)
 
 
 def equal_finish_makespan_batch(
-    problem: BatchProblem, cache_fractions, *, xtol: float = 1e-12
+    problem: BatchProblem, cache_fractions
 ) -> np.ndarray:
     """Per-row equal-finish makespans, shape ``(B,)``."""
-    return equal_finish_allocation_batch(problem, cache_fractions,
-                                         xtol=xtol)[1]
+    return equal_finish_allocation_batch(problem, cache_fractions)[1]
 
 
 class BatchSchedule:

@@ -18,20 +18,20 @@ paper's bounds (every application on ``p`` processors, respectively on
 1 processor — expanded geometrically when ``n > p`` makes the upper
 bound insufficient).
 
-Root finders
-------------
-``"hybrid"`` (default) is a safeguarded Newton-bisection implemented
-directly on ``(B, N)`` arrays — :func:`equal_finish_batch` solves a
-whole batch of independent instances in lockstep, and the scalar entry
-points route through it as a batch of one, which is what makes the
-scalar and batch paths bit-identical by construction.  ``g`` is convex
-and decreasing on the bracket, so a Newton step from the left bracket
-edge can never overshoot the root; whenever the step is unusable
-(singular ``g``, out of bracket) the iteration falls back to plain
-bisection, keeping convergence guaranteed.  ``"brentq"`` (SciPy) and
-``"bisect"`` (the paper's literal binary search) are retained for the
-solver-ablation benchmark; SciPy is imported only inside the
-``"brentq"`` branch, so nothing else in the package needs it.
+Root finder
+-----------
+One safeguarded Newton-bisection, implemented directly on ``(B, N)``
+arrays: :func:`equal_finish_batch` solves a whole batch of independent
+instances in lockstep, and the scalar entry points route through it as
+a batch of one, which is what makes the scalar and batch paths
+bit-identical by construction.  The online allocator
+(:func:`repro.online.allocation.remaining_equal_finish`) maps remaining
+work onto the same form and calls it too.  ``g`` is convex and
+decreasing on the bracket, so a Newton step from the left bracket edge
+can never overshoot the root; whenever the step is unusable (singular
+``g``, out of bracket) the iteration falls back to plain bisection,
+keeping convergence guaranteed.  Every solve stops once the bracket is
+narrower than ``XTOL * max(1, K)`` (:data:`XTOL`).
 
 Batches of at most :data:`ROW_BY_ROW_MAX_ROWS` rows are solved row by
 row through the Python-float transcription :func:`_equal_finish_single`
@@ -41,8 +41,6 @@ the cut is invisible in the results.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -59,9 +57,12 @@ __all__ = [
     "equal_finish_allocation",
     "equal_finish_batch",
     "build_equal_finish_schedule",
-    "processor_demand",
     "ROW_BY_ROW_MAX_ROWS",
+    "XTOL",
 ]
+
+#: Relative tolerance on the equal-finish makespan ``K``.
+XTOL = 1e-12
 
 #: Largest batch :func:`equal_finish_batch` solves row by row on Python
 #: floats; wider batches take the vectorized path.
@@ -88,29 +89,11 @@ def perfectly_parallel_makespan(
     return float(c.sum() / platform.p)
 
 
-def processor_demand(seq: np.ndarray, c: np.ndarray, makespan: float) -> float:
-    """Total processors needed for every app to finish at *makespan*.
-
-    Evaluates ``g(K) = sum_i (1-s_i) / (K/c_i - s_i)``.  Infinite when
-    ``K <= s_i * c_i`` for some ``i`` (no processor count suffices).
-    Applications whose work is entirely sequential (``s_i == 1``)
-    contribute 0 processors-of-demand beyond feasibility: they finish at
-    ``c_i`` regardless, so ``K >= c_i`` is required and the demand is
-    the limit value 0 there.
-    """
-    denom = makespan / c - seq
-    if np.any(denom <= 0):
-        return np.inf
-    return float(((1.0 - seq) / denom).sum())
-
-
 def equal_finish_batch(
     seq: np.ndarray,
     c: np.ndarray,
     valid: np.ndarray,
     p: np.ndarray,
-    *,
-    xtol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized equal-finish solve for a batch of independent instances.
 
@@ -124,8 +107,6 @@ def equal_finish_batch(
         padding).  Every row needs at least one valid application.
     p : (B,) float array
         Per-row processor budget.
-    xtol : float
-        Relative tolerance on the makespan ``K``.
 
     Returns
     -------
@@ -158,7 +139,7 @@ def equal_finish_batch(
         for r in range(B):
             idx = np.flatnonzero(valid[r])
             procs[r, idx], K[r] = _equal_finish_single(
-                seq[r, idx].tolist(), c[r, idx].tolist(), float(p[r]), xtol)
+                seq[r, idx].tolist(), c[r, idx].tolist(), float(p[r]))
         return procs, K
     one_minus = np.where(valid, 1.0 - seq, 0.0)
     pcol = p[:, None]
@@ -219,7 +200,7 @@ def equal_finish_batch(
     fb = f_hi
     live = active.copy()
     for it in range(200):
-        live &= (b - a) > xtol * np.maximum(1.0, a)
+        live &= (b - a) > XTOL * np.maximum(1.0, a)
         if not live.any():
             break
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -258,7 +239,7 @@ def equal_finish_batch(
     return procs, K
 
 
-def _equal_finish_single(seq, c, p, xtol):
+def _equal_finish_single(seq, c, p):
     """:func:`equal_finish_batch` for one instance, on Python floats.
 
     Exact transcription of the vectorized body for a single row —
@@ -304,7 +285,7 @@ def _equal_finish_single(seq, c, p, xtol):
                 raise SolverError("could not bracket the equal-finish makespan")
         a, b = lo, hi
         for it in range(200):
-            if not (b - a) > xtol * max(1.0, a):
+            if not (b - a) > XTOL * max(1.0, a):
                 break
             newton = a - fa / fpa if fpa != 0.0 else np.inf
             n_ok = np.isfinite(newton) and a < newton < b
@@ -338,103 +319,8 @@ def _equal_finish_single(seq, c, p, xtol):
     return procs, K
 
 
-def equal_finish_makespan(
-    workload: Workload,
-    platform: Platform,
-    cache_fractions,
-    *,
-    xtol: float = 1e-12,
-    method: str = "hybrid",
-) -> float:
-    """Solve ``g(K) = p`` for the equal-finish makespan ``K``.
-
-    Parameters
-    ----------
-    workload, platform, cache_fractions
-        The co-schedule being priced.
-    xtol : float
-        Relative tolerance on ``K``.
-    method : {"hybrid", "brentq", "bisect"}
-        Root finder.  ``"hybrid"`` (default) is the vectorized
-        Newton-bisection shared with :func:`equal_finish_batch`;
-        ``"bisect"`` is the paper's literal binary search and
-        ``"brentq"`` the previous SciPy default, both kept for the
-        solver-ablation benchmark.
-
-    Returns
-    -------
-    float
-        The common finish time ``K``.
-    """
-    seq = workload.seq
-    c = sequential_times(workload, platform, cache_fractions)
-    p = platform.p
-
-    if workload.n == 1:
-        # One application takes the whole machine.
-        return float((seq[0] + (1.0 - seq[0]) / p) * c[0])
-
-    if method == "hybrid":
-        _, K = equal_finish_batch(
-            seq[None, :], c[None, :],
-            np.ones((1, workload.n), dtype=bool),
-            np.array([float(p)]), xtol=xtol)
-        return float(K[0])
-
-    # Lower bound: every application on all p processors (finishing
-    # earlier than that is impossible).  Strictly above the singularity
-    # max_i s_i * c_i, so g(lo) is finite and >= p.
-    lo = float(((seq + (1.0 - seq) / p) * c).max())
-    # Upper bound: every application on one processor; expand when
-    # n > p makes even that insufficient.
-    hi = float(c.max())
-    if hi <= lo:
-        hi = lo * (1.0 + 1e-9) + 1e-300
-    g = lambda K: processor_demand(seq, c, K) - p  # noqa: E731
-    g_lo = g(lo)
-    if g_lo <= 0:
-        # Degenerate: even the fastest possible finish needs fewer than
-        # p processors in total (can happen when n is tiny and the
-        # budget huge); the equal-finish solution then saturates at lo.
-        return lo
-    expansions = 0
-    while g(hi) > 0:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 200:
-            raise SolverError("could not bracket the equal-finish makespan")
-
-    if method == "bisect":
-        return _bisect(g, lo, hi, xtol=xtol)
-    if method != "brentq":
-        raise ValueError(f"unknown method {method!r}")
-    from scipy.optimize import brentq  # ablation only: keeps SciPy optional
-
-    try:
-        return float(brentq(g, lo, hi, xtol=max(xtol * lo, 1e-300), rtol=1e-14))
-    except ValueError as exc:  # pragma: no cover - bracket guaranteed above
-        raise SolverError(f"brentq failed on [{lo}, {hi}]: {exc}") from exc
-
-
-def _bisect(g: Callable[[float], float], lo: float, hi: float, *, xtol: float) -> float:
-    """Plain binary search on a decreasing function, paper-style."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= xtol * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)
-
-
 def equal_finish_allocation(
-    workload: Workload,
-    platform: Platform,
-    cache_fractions,
-    *,
-    method: str = "hybrid",
+    workload: Workload, platform: Platform, cache_fractions
 ) -> tuple[np.ndarray, float]:
     """Processor allocation making all applications finish together.
 
@@ -445,37 +331,23 @@ def equal_finish_allocation(
     nothing for perfectly parallel apps already at their bound and keep
     the schedule feasible.
     """
-    seq = workload.seq
     c = sequential_times(workload, platform, cache_fractions)
-    if method == "hybrid":
-        procs2, K2 = equal_finish_batch(
-            seq[None, :], c[None, :],
-            np.ones((1, workload.n), dtype=bool),
-            np.array([float(platform.p)]))
-        return procs2[0].copy(), float(K2[0])
-    K = equal_finish_makespan(workload, platform, cache_fractions, method=method)
-    if workload.n == 1:
-        return np.array([float(platform.p)]), K
-    denom = K / c - seq
-    # Guard against roundoff putting a denominator at/below zero for the
-    # slowest application: clamp to the smallest positive share.
-    denom = np.maximum(denom, 1e-300)
-    procs = (1.0 - seq) / denom
-    # A fully sequential application (s == 1) demands 0 processors in
-    # the limit; give it an epsilon so the schedule stays valid.
-    procs = np.maximum(procs, 1e-9)
-    total = procs.sum()
-    if total > platform.p:
-        procs *= platform.p / total
-    return procs, float(K)
+    procs, K = equal_finish_batch(
+        workload.seq[None, :], c[None, :],
+        np.ones((1, workload.n), dtype=bool),
+        np.array([float(platform.p)]))
+    return procs[0], float(K[0])
+
+
+def equal_finish_makespan(
+    workload: Workload, platform: Platform, cache_fractions
+) -> float:
+    """The common finish time ``K`` solving ``g(K) = p``."""
+    return equal_finish_allocation(workload, platform, cache_fractions)[1]
 
 
 def build_equal_finish_schedule(
-    workload: Workload,
-    platform: Platform,
-    cache_fractions,
-    *,
-    method: str = "hybrid",
+    workload: Workload, platform: Platform, cache_fractions
 ) -> Schedule:
     """Construct the :class:`Schedule` for a given cache partition.
 
@@ -483,5 +355,5 @@ def build_equal_finish_schedule(
     the paper: fractions come from the partitioning strategy, processors
     from the equal-finish solver.
     """
-    procs, _ = equal_finish_allocation(workload, platform, cache_fractions, method=method)
+    procs, _ = equal_finish_allocation(workload, platform, cache_fractions)
     return Schedule(workload, platform, procs, cache_fractions)

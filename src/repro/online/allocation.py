@@ -9,19 +9,21 @@ per-operation cost), the time for application ``i`` to finish on
 
     ``t_i = factor_i * (seq_left_i + par_left_i / p_i)``,
 
-so the equal-finish horizon ``K`` solves
+which is the offline form ``c_i * (s_i + (1 - s_i) / p_i)`` with
 
-    ``sum_i par_left_i * factor_i / (K - seq_left_i * factor_i) = p``
+    ``s_i = seq_left_i / (seq_left_i + par_left_i)`` and
+    ``c_i = factor_i * (seq_left_i + par_left_i)``,
 
-(strictly decreasing in ``K`` past the singularities) and
-``p_i = par_left_i * factor_i / (K - seq_left_i * factor_i)``.
+so the equal-finish horizon is solved by the offline root finder,
+:func:`~repro.core.processor_allocation.equal_finish_batch`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..types import ModelError, SolverError
+from ..core.processor_allocation import equal_finish_batch
+from ..types import ModelError
 
 __all__ = ["remaining_equal_finish"]
 
@@ -33,8 +35,6 @@ def remaining_equal_finish(
     par_ops,
     factors,
     p: float,
-    *,
-    xtol: float = 1e-12,
 ) -> tuple[np.ndarray, float]:
     """Processors equalizing the finish of partially executed apps.
 
@@ -66,48 +66,13 @@ def remaining_equal_finish(
     if p <= 0:
         raise ModelError(f"p must be positive, got {p}")
 
-    seq_time = seq * fac          # time of the remaining sequential part
-    par_work = par * fac          # processor-time of the parallel part
-
-    if np.all(par_work == 0):
+    if np.all(par == 0):
         # Only sequential tails left: processors are irrelevant.
         procs = np.full(seq.size, _EPS_PROC)
-        return procs, float(seq_time.max())
+        return procs, float((seq * fac).max())
 
-    def demand(K: float) -> float:
-        denom = K - seq_time
-        if np.any(denom <= 0):
-            return np.inf
-        with np.errstate(divide="ignore"):
-            return float(np.where(par_work > 0, par_work / denom, 0.0).sum())
-
-    lo = float((seq_time + par_work / p).max())
-    g_lo = demand(lo)
-    if g_lo <= p:
-        K = lo
-    else:
-        hi = float((seq_time + par_work).max())
-        if hi <= lo:
-            hi = lo * (1 + 1e-9) + 1e-300
-        expansions = 0
-        while demand(hi) > p:
-            hi *= 2.0
-            expansions += 1
-            if expansions > 200:
-                raise SolverError("could not bracket the online horizon")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if demand(mid) > p:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= xtol * max(1.0, lo):
-                break
-        K = 0.5 * (lo + hi)
-
-    denom = np.maximum(K - seq_time, 1e-300)
-    procs = np.maximum(par_work / denom, _EPS_PROC)
-    total = procs.sum()
-    if total > p:
-        procs *= p / total
-    return procs, float(K)
+    work = seq + par
+    procs, K = equal_finish_batch(
+        (seq / work)[None, :], (fac * work)[None, :],
+        np.ones((1, seq.size), dtype=bool), np.array([float(p)]))
+    return procs[0], float(K[0])

@@ -1,30 +1,49 @@
-"""asyncio HTTP front end: the high-QPS serving path.
+"""asyncio HTTP front end: the decision service's one HTTP server.
 
-The threaded front end (:mod:`repro.service.server`) spends a thread
-per in-flight request; at thousands of requests per second the
-interpreter drowns in context switches before the schedulers do any
-work.  This module serves the same contract — ``POST /v1/allocate``,
-``GET /v1/schedulers``, ``GET /metrics``, ``GET /healthz``, same JSON
-bodies and error shapes — from a single event loop:
+Endpoints
+---------
+``POST /v1/allocate``
+    Body: a JSON allocation request (see
+    :func:`repro.service.protocol.request_from_payload`) —
+    ``applications`` (list of application objects), ``platform``
+    (preset name, preset + overrides, or explicit parameters),
+    ``scheduler`` (registry name), optional ``seed``.  Answers with
+    the decision plus serving metadata; malformed input gets a 400
+    with a JSON ``error`` body, a full batcher queue a 503 with
+    ``Retry-After``.
+``GET /v1/schedulers``
+    The scheduler registry with metadata (name, randomized,
+    description, provenance), sorted by name.
+``GET /metrics``
+    All serving counters in Prometheus text exposition format
+    (``repro_decisions_total``, ``repro_decision_cache_hits`` ...);
+    append ``?format=json`` for the raw mapping.
+``GET /healthz``
+    Liveness: ``{"status": "ok"}``.
+
+Everything is served from a single event loop per process:
 
 * Connections are ``asyncio.Protocol`` instances with a hand-rolled
   (request-sized, not general) HTTP/1.1 parser: no stream readers, no
-  per-request task until a request actually needs the dispatcher.
+  per-request task until a request actually needs the dispatcher.  A
+  request whose body length cannot be trusted (a non-numeric,
+  negative or oversize ``Content-Length``) is answered and its
+  connection closed, so a keep-alive stream never desyncs.
 * A byte-level L0 cache short-circuits *exact repeat* request bodies:
   the response bytes are replayed with a fresh ``latency_ms`` stamp
   without even parsing the JSON.  Decision-cache semantics are kept
   honest by :meth:`~repro.service.core.DecisionService.note_bytecache_hit`
   (the hit still counts in the aggregate cache and decision counters).
 * Misses parse, canonicalize, and await
-  :meth:`~repro.service.core.DecisionService.allocate_async` — the
-  event loop feeds the same coalescing batcher the threaded front end
-  uses, so concurrent distinct requests still batch onto the
-  dispatcher pool.  Per-connection response order is preserved by an
-  outbox that interleaves ready bytes with pending tasks.
-* Multi-worker mode (``repro serve --async --workers N``) pre-forks:
-  the parent binds the listening socket once (so ``port 0`` works and
-  no ``SO_REUSEPORT`` support is assumed) and each child accepts from
-  the shared socket on its own event loop with its own
+  :meth:`~repro.service.core.DecisionService.allocate_async`, which
+  feeds the coalescing batcher, so concurrent distinct requests still
+  batch onto the dispatcher pool.  Per-connection response order is
+  preserved by an outbox that interleaves ready bytes with pending
+  tasks.
+* ``repro serve --workers N`` pre-forks N processes: the parent binds
+  the listening socket once (so ``port 0`` works and no
+  ``SO_REUSEPORT`` support is assumed) and each child accepts from the
+  shared socket on its own event loop with its own
   :class:`~repro.service.core.DecisionService`.
 
 :class:`AsyncServerThread` runs the loop on a background thread for
@@ -49,10 +68,13 @@ from ..types import ReproError
 from .batcher import QueueFullError
 from .core import DecisionService
 from .dispatcher import RequestError
+from .metrics import render_metrics_text
 from .protocol import request_from_payload
-from .server import MAX_BODY_BYTES, render_metrics_text
 
 __all__ = ["AsyncDecisionServer", "AsyncServerThread", "serve_async"]
+
+#: Refuse request bodies beyond this size (1 MiB ~ thousands of apps).
+MAX_BODY_BYTES = 1 << 20
 
 #: Refuse header blocks beyond this size (we only read two headers).
 _MAX_HEADER_BYTES = 16 << 10
@@ -177,7 +199,7 @@ class AsyncDecisionServer:
         metrics = self.service.metrics()
         if b"format=json" in query:
             return _response(200, json.dumps(metrics).encode())
-        text = render_metrics_text(metrics, self.service)
+        text = render_metrics_text(metrics, self.service.latency)
         return _response(200, text.encode(), content_type=_TEXT_CT)
 
     @property
@@ -232,16 +254,17 @@ class _HttpProtocol(asyncio.Protocol):
             method, target = parts[0], parts[1]
             lower = header.lower()
             length = 0
-            idx = lower.find(b"content-length:")
+            # Header names start a line: the request line always comes
+            # first, so every header follows a CRLF.
+            idx = lower.find(b"\r\ncontent-length:")
             if idx >= 0:
-                end = lower.find(b"\r\n", idx)
-                field = lower[idx + 15:end if end >= 0 else len(lower)]
-                try:
-                    length = int(field)
-                except ValueError:
+                end = lower.find(b"\r\n", idx + 2)
+                field = lower[idx + 17:end if end >= 0 else len(lower)].strip()
+                if not field.isdigit():
                     self._emit(_error(400, "bad Content-Length"))
                     self._close_after_flush()
                     return
+                length = int(field)
             if length > MAX_BODY_BYTES:
                 self._emit(_error(413, f"body exceeds {MAX_BODY_BYTES} bytes"))
                 self._close_after_flush()
@@ -337,7 +360,7 @@ async def _serve_on_socket(sock: socket.socket,
 def serve_async(host: str = "127.0.0.1", port: int = 8765,
                 service_factory: Callable[[], DecisionService] | None = None,
                 *, workers: int = 1, announce=None) -> None:
-    """Blocking asyncio serve loop (the ``repro serve --async`` entry).
+    """Blocking asyncio serve loop (the ``repro serve`` entry).
 
     The listening socket is bound once, *before* any fork, so ``port
     0`` reports a single real port and worker processes share one
@@ -355,7 +378,7 @@ def serve_async(host: str = "127.0.0.1", port: int = 8765,
     bound_host, bound_port = sock.getsockname()[:2]
     if announce is not None:
         label = "worker" if workers == 1 else "workers"
-        announce(f"repro decision service (async, {workers} {label}) "
+        announce(f"repro decision service ({workers} {label}) "
                  f"listening on http://{bound_host}:{bound_port}")
     if workers == 1:
         try:

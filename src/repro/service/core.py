@@ -1,8 +1,9 @@
 """The transport-agnostic decision service.
 
 :class:`DecisionService` is the object every front end (the HTTP
-server, the CLI, tests, benchmarks) talks to.  One call —
-:meth:`~DecisionService.allocate` — runs the full serving path:
+server, the CLI, tests, benchmarks) talks to.  One serving path —
+:meth:`~DecisionService.allocate`, or :meth:`~DecisionService.allocate_async`
+from an event loop — runs:
 
 1. canonicalize + fingerprint the request (:mod:`.protocol`),
 2. answer from the tiered decision cache on a repeat — memory first,
@@ -22,7 +23,6 @@ from __future__ import annotations
 import asyncio
 import threading
 from time import perf_counter
-from typing import Mapping
 
 from ..cache import (
     DecisionDiskTier,
@@ -38,7 +38,6 @@ from .protocol import (
     AllocationDecision,
     AllocationRequest,
     AllocationResponse,
-    request_from_payload,
 )
 
 __all__ = ["DecisionService"]
@@ -53,9 +52,9 @@ class DecisionService:
         Decision-cache size (entries).
     cache_shards : int
         Shard count for the decision cache.  The default (8) uses the
-        fingerprint-sharded :class:`~repro.service.cache.ShardedDecisionCache`;
-        ``1`` selects the original single-lock strict-LRU
-        :class:`~repro.service.cache.DecisionCache`.
+        fingerprint-sharded :class:`~repro.cache.ShardedClockCache`;
+        ``1`` selects the single-lock strict-LRU
+        :class:`~repro.cache.LRUCache`.
     max_batch_size : int
         Largest batch the batcher dispatches at once.
     max_wait_ms : float
@@ -115,41 +114,48 @@ class DecisionService:
     # -- serving -----------------------------------------------------------
     def allocate(self, request: AllocationRequest) -> AllocationResponse:
         """Serve one request end to end (blocking)."""
-        start = perf_counter()
-        self.inflight.inc()
+        flow = self._serve(request)
         try:
+            future = flow.send(None)
             try:
-                key = request.fingerprint()
-            except Exception:
-                with self._lock:
-                    self._errors += 1
-                raise
-            cached = self.cache.get(key)
-            if cached is not None:
-                return self._respond(key, cached, start, cache_hit=True,
-                                     coalesced=False, batch_size=0)
-            try:
-                decision, batch_size, coalesced = self.batcher.submit(
-                    request, key).result()
-            except Exception:
-                with self._lock:
-                    self._errors += 1
-                raise
-            self.cache.put(key, decision)
-            return self._respond(key, decision, start,
-                                 cache_hit=False, coalesced=coalesced,
-                                 batch_size=batch_size)
-        finally:
-            self.inflight.dec()
+                result = future.result()
+            except BaseException as exc:
+                flow.throw(exc)
+            else:
+                flow.send(result)
+        except StopIteration as done:
+            return done.value
+        raise AssertionError("the serving path yields at most once")
 
     async def allocate_async(self, request: AllocationRequest,
                              ) -> AllocationResponse:
-        """Serve one request from an event loop (the async front end).
+        """Serve one request from an event loop (the HTTP front end).
 
-        The fingerprint and the cache probe run inline (they are
-        sub-millisecond); only the batcher future is awaited, so the
-        event loop keeps accepting connections while the dispatcher
-        computes.
+        Identical to :meth:`allocate` except that the batcher future is
+        awaited, so the event loop keeps accepting connections while
+        the dispatcher computes.
+        """
+        flow = self._serve(request)
+        try:
+            future = flow.send(None)
+            try:
+                result = await asyncio.wrap_future(future)
+            except BaseException as exc:
+                flow.throw(exc)
+            else:
+                flow.send(result)
+        except StopIteration as done:
+            return done.value
+        raise AssertionError("the serving path yields at most once")
+
+    def _serve(self, request: AllocationRequest):
+        """The serving path, as a generator both entry points drive.
+
+        Fingerprint, cache probe, and (on a miss) batcher submission
+        run inline; the batcher future is yielded once and the
+        generator is resumed with its result, or has its exception
+        thrown in.  The cache and the dispatcher are looked up at call
+        time, never bound here.
         """
         start = perf_counter()
         self.inflight.inc()
@@ -157,20 +163,17 @@ class DecisionService:
             try:
                 key = request.fingerprint()
             except Exception:
-                with self._lock:
-                    self._errors += 1
+                self._count_error()
                 raise
             cached = self.cache.get(key)
             if cached is not None:
                 return self._respond(key, cached, start, cache_hit=True,
                                      coalesced=False, batch_size=0)
             try:
-                future = self.batcher.submit(request, key)
-                decision, batch_size, coalesced = await asyncio.wrap_future(
-                    future)
+                decision, batch_size, coalesced = yield self.batcher.submit(
+                    request, key)
             except Exception:
-                with self._lock:
-                    self._errors += 1
+                self._count_error()
                 raise
             self.cache.put(key, decision)
             return self._respond(key, decision, start,
@@ -179,9 +182,9 @@ class DecisionService:
         finally:
             self.inflight.dec()
 
-    def allocate_payload(self, payload: Mapping) -> AllocationResponse:
-        """Decode a wire payload and serve it (the HTTP/CLI entry point)."""
-        return self.allocate(request_from_payload(payload))
+    def _count_error(self) -> None:
+        with self._lock:
+            self._errors += 1
 
     def note_bytecache_hit(self, latency_s: float) -> None:
         """Account a decision served by a front end's L0 byte cache.

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +21,6 @@ from repro.core.processor_allocation import (
     equal_finish_makespan,
     lemma2_processor_allocation,
     perfectly_parallel_makespan,
-    processor_demand,
 )
 from repro.machine import taihulight
 
@@ -56,24 +61,32 @@ class TestLemma2:
             assert span >= best * (1 - 1e-12)
 
 
-class TestProcessorDemand:
-    def test_perfectly_parallel_closed_form(self):
-        """For s = 0, g(K) = sum(c)/K."""
-        seq = np.zeros(3)
-        c = np.array([1.0, 2.0, 3.0])
-        assert processor_demand(seq, c, 2.0) == pytest.approx(6.0 / 2.0)
+def paper_bisection(seq, c, p, xtol=1e-12):
+    """The paper's literal binary search for ``g(K) = p`` (Section 5).
 
-    def test_infinite_below_singularity(self):
-        seq = np.array([0.5])
-        c = np.array([10.0])
-        assert processor_demand(seq, c, 4.0) == np.inf  # K < s*c = 5
+    ``g(K) = sum_i (1-s_i) / (K/c_i - s_i)``, bracketed by every
+    application on ``p`` processors and on one, the upper end doubled
+    until ``g`` drops to ``p``.
+    """
+    def g(K):
+        denom = K / c - seq
+        if np.any(denom <= 0):
+            return np.inf
+        return float(((1.0 - seq) / denom).sum())
 
-    def test_decreasing(self):
-        seq = np.array([0.1, 0.2])
-        c = np.array([5.0, 7.0])
-        ks = np.linspace(2.0, 20.0, 50)
-        vals = [processor_demand(seq, c, k) for k in ks]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+    lo = float(((seq + (1.0 - seq) / p) * c).max())
+    hi = float(c.max())
+    while g(hi) > p:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= xtol * max(1.0, lo):
+            break
+    return 0.5 * (lo + hi)
 
 
 class TestEqualFinish:
@@ -98,15 +111,12 @@ class TestEqualFinish:
         assert sched.finish_time_spread() < 1e-8
         assert sched.procs.sum() == pytest.approx(pf.p, rel=1e-8)
 
-    def test_bisect_matches_brentq(self, npb6_amdahl, pf):
+    def test_hybrid_matches_paper_bisection(self, npb6_amdahl, pf):
         x = np.full(6, 1 / 6)
-        k_brent = equal_finish_makespan(npb6_amdahl, pf, x, method="brentq")
-        k_bisect = equal_finish_makespan(npb6_amdahl, pf, x, method="bisect")
-        assert k_bisect == pytest.approx(k_brent, rel=1e-8)
-
-    def test_unknown_method(self, npb6_amdahl, pf):
-        with pytest.raises(ValueError):
-            equal_finish_makespan(npb6_amdahl, pf, np.zeros(6), method="newton")
+        k_hybrid = equal_finish_makespan(npb6_amdahl, pf, x)
+        c = sequential_times(npb6_amdahl, pf, x)
+        k_bisect = paper_bisection(npb6_amdahl.seq, c, pf.p)
+        assert k_hybrid == pytest.approx(k_bisect, rel=1e-8)
 
     def test_more_apps_than_processors(self, rng):
         """n > p forces fractional allocations below 1."""
@@ -147,3 +157,28 @@ class TestEqualFinish:
         assert sched.finish_time_spread() < 1e-6
         assert sched.procs.sum() <= pf.p * (1 + 1e-6)
         assert sched.procs.sum() >= pf.p * (1 - 1e-6)
+
+
+def test_solvers_do_not_import_scipy():
+    """The offline solver and the online allocator run on NumPy alone."""
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from repro.core.processor_allocation import equal_finish_allocation
+        from repro.machine import taihulight
+        from repro.online import remaining_equal_finish
+        from repro.workloads import npb_synth
+
+        wl = npb_synth(8, np.random.default_rng(0))
+        equal_finish_allocation(wl, taihulight(), np.zeros(8))
+        remaining_equal_finish(wl.seq * wl.work, (1 - wl.seq) * wl.work,
+                               np.ones(8), 16.0)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

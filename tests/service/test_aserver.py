@@ -1,10 +1,11 @@
-"""Async front end: golden equivalence with the threaded server.
+"""The HTTP front end: golden contract and event-loop machinery.
 
-Both front ends serve the same contract from the same
-:class:`DecisionService` machinery; these tests drive them side by
-side over a golden request suite (decisions, error shapes, metrics)
-and exercise the async-only machinery (byte-level L0 cache, pipelined
-connections, backpressure 503s).
+A golden request suite pins the wire contract: decisions and request
+ids against the in-process reference (:func:`compute_decision`,
+``request.fingerprint()``), error bodies and statuses against
+committed literals, and ``/v1/schedulers`` against the registry.  The
+rest exercises the serving machinery (byte-level L0 cache, pipelined
+and malformed keep-alive connections, backpressure 503s).
 """
 
 from __future__ import annotations
@@ -17,27 +18,20 @@ import urllib.request
 
 import pytest
 
-from repro.service import DecisionService, ServiceClient, ServiceError
+from repro.core.registry import entries
+from repro.service import (
+    DecisionService,
+    ServiceClient,
+    ServiceError,
+    compute_decision,
+    request_from_payload,
+)
 from repro.service.aserver import AsyncServerThread
-from repro.service.server import make_server
 
 
 def _service() -> DecisionService:
     return DecisionService(cache_capacity=64, max_batch_size=8,
                            max_wait_ms=1.0, workers=2)
-
-
-@pytest.fixture
-def threaded_url():
-    server = make_server(service=_service())
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
-    server.service.close()
-    thread.join(5)
 
 
 @pytest.fixture
@@ -57,6 +51,44 @@ def _post_raw(url: str, body: bytes) -> tuple[int, dict]:
         return exc.code, json.loads(exc.read())
 
 
+def _exchange(url: str, wire: bytes, count: int,
+              timeout: float = 30.0) -> tuple[list[tuple[int, dict]], bool]:
+    """Send raw *wire* bytes on one connection and read *count* answers.
+
+    Returns ``(responses, closed)``: the ``(status, JSON body)`` pairs in
+    arrival order, and whether the server closed the connection before
+    *count* responses arrived.
+    """
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(wire)
+        buf = b""
+        responses = []
+        while len(responses) < count:
+            head_end = buf.find(b"\r\n\r\n")
+            if head_end >= 0:
+                head = buf[:head_end].lower()
+                idx = head.find(b"\r\ncontent-length:")
+                end = head.find(b"\r\n", idx + 2)
+                total = head_end + 4 + int(head[idx + 17:end if end > 0 else None])
+                if len(buf) >= total:
+                    responses.append((int(head.split()[1]),
+                                      json.loads(buf[head_end + 4:total])))
+                    buf = buf[total:]
+                    continue
+            chunk = sock.recv(65536)
+            if not chunk:
+                return responses, True
+            buf += chunk
+    return responses, False
+
+
+def _post_wire(body: bytes, headers: bytes = b"") -> bytes:
+    return (b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n" + headers
+            + b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+            + body)
+
+
 GOLDEN_PAYLOADS = [
     {"applications": [{"work": 100.0}, {"work": 50.0, "miss_rate": 0.2}],
      "platform": "taihulight"},
@@ -68,41 +100,51 @@ GOLDEN_PAYLOADS = [
      "platform": "taihulight", "scheduler": "randompart", "seed": 7},
 ]
 
+#: (body, status, error message) as the former thread-per-request
+#: server answered them.  ``{known}`` is the registry's name list,
+#: which other tests may extend.
 GOLDEN_ERRORS = [
-    (b"{not json", 400),
-    (json.dumps({"applications": [], "platform": "taihulight"}).encode(), 400),
+    (b"{not json", 400,
+     "invalid JSON: Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (json.dumps({"applications": [], "platform": "taihulight"}).encode(), 400,
+     "'applications' must be a non-empty list of application objects"),
     (json.dumps({"applications": [{"work": 1.0}],
-                 "scheduler": "no-such"}).encode(), 400),
-    (json.dumps({"applications": [{"work": -5.0}]}).encode(), 400),
+                 "scheduler": "no-such"}).encode(), 400,
+     "unknown scheduler 'no-such'; known: {known}"),
+    (json.dumps({"applications": [{"work": -5.0}]}).encode(), 400,
+     "app0: work must be positive and finite, got -5.0"),
 ]
 
 
 class TestGoldenEquivalence:
-    def test_decisions_match_threaded_server(self, threaded_url, async_url):
+    def test_decisions_match_compute_decision(self, async_url):
         for payload in GOLDEN_PAYLOADS:
-            body = json.dumps(payload).encode()
-            t_status, t_resp = _post_raw(threaded_url, body)
-            a_status, a_resp = _post_raw(async_url, body)
-            assert (t_status, a_status) == (200, 200)
-            assert a_resp["decision"] == t_resp["decision"]
-            assert a_resp["request_id"] == t_resp["request_id"]
+            request = request_from_payload(payload)
+            expected = compute_decision(request).to_payload()
+            status, resp = _post_raw(async_url, json.dumps(payload).encode())
+            assert status == 200
+            assert resp["decision"] == json.loads(json.dumps(expected))
+            assert resp["request_id"] == request.fingerprint()
 
-    def test_error_shapes_match(self, threaded_url, async_url):
-        for body, expected_status in GOLDEN_ERRORS:
-            t_status, t_resp = _post_raw(threaded_url, body)
-            a_status, a_resp = _post_raw(async_url, body)
-            assert t_status == a_status == expected_status
-            assert a_resp["error"] == t_resp["error"]
+    def test_error_bodies_match_golden(self, async_url):
+        known = ", ".join(e.name for e in entries())
+        for body, expected_status, message in GOLDEN_ERRORS:
+            status, resp = _post_raw(async_url, body)
+            assert status == expected_status
+            assert resp == {"error": message.replace("{known}", known)}
 
-    def test_schedulers_endpoint_matches(self, threaded_url, async_url):
-        t_list = ServiceClient(threaded_url).schedulers()
-        a_list = ServiceClient(async_url).schedulers()
-        assert a_list == t_list
+    def test_schedulers_endpoint_matches_registry(self, async_url):
+        expected = [{"name": e.name, "randomized": e.randomized,
+                     "description": e.description,
+                     "provenance": e.provenance} for e in entries()]
+        assert ServiceClient(async_url).schedulers() == expected
 
     def test_unknown_endpoint_404(self, async_url):
         with pytest.raises(ServiceError) as info:
             ServiceClient(async_url)._call("/v2/allocate", b"{}")
         assert info.value.status == 404
+        assert "no such endpoint: /v2/allocate" in str(info.value)
 
     def test_healthz(self, async_url):
         assert ServiceClient(async_url).healthy()
@@ -146,35 +188,12 @@ class TestAsyncServing:
         assert "repro_batcher_queue_depth" in text
 
     def test_pipelined_requests_answered_in_order(self, async_url):
-        host, port = async_url.removeprefix("http://").split(":")
         bodies = [json.dumps(p).encode() for p in GOLDEN_PAYLOADS[:3]]
-        wire = b"".join(
-            b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n"
-            b"Content-Type: application/json\r\n"
-            b"Content-Length: " + str(len(b)).encode() + b"\r\n\r\n" + b
-            for b in bodies)
-        with socket.create_connection((host, int(port)), timeout=30) as sock:
-            sock.sendall(wire)
-            sock.settimeout(30)
-            buf = b""
-            responses = []
-            while len(responses) < 3:
-                chunk = sock.recv(65536)
-                assert chunk, "connection closed early"
-                buf += chunk
-                while True:
-                    head_end = buf.find(b"\r\n\r\n")
-                    if head_end < 0:
-                        break
-                    head = buf[:head_end].lower()
-                    idx = head.find(b"content-length:")
-                    end = head.find(b"\r\n", idx)
-                    length = int(head[idx + 15:end if end > 0 else None])
-                    total = head_end + 4 + length
-                    if len(buf) < total:
-                        break
-                    responses.append(json.loads(buf[head_end + 4:total]))
-                    buf = buf[total:]
+        wire = b"".join(_post_wire(b, b"Content-Type: application/json\r\n")
+                        for b in bodies)
+        answers, closed = _exchange(async_url, wire, 3)
+        assert not closed, "connection closed early"
+        responses = [payload for _, payload in answers]
         # responses come back in request order, matched by fingerprint
         expected = [_post_raw(async_url, b)[1]["request_id"] for b in bodies]
         assert [r["request_id"] for r in responses] == expected
@@ -199,6 +218,32 @@ class TestAsyncServing:
         assert len({rid for _, rid in results}) == 4
 
 
+class TestRequestFraming:
+    @pytest.mark.parametrize("length", [b"-3", b"+3", b"abc", b""])
+    def test_untrusted_length_closes_connection(self, async_url, length):
+        """A length the body cannot be framed by must not desync the
+        keep-alive stream: answer 400 and close, never parse the rest
+        of the bytes as the next request."""
+        body = json.dumps(GOLDEN_PAYLOADS[0]).encode()
+        wire = (b"POST /v1/allocate HTTP/1.1\r\nHost: t\r\n"
+                b"Content-Length: " + length + b"\r\n\r\n" + body
+                + _post_wire(body))
+        answers, closed = _exchange(async_url, wire, 2, timeout=10.0)
+        assert answers == [(400, {"error": "bad Content-Length"})]
+        assert closed
+
+    def test_header_name_must_start_a_line(self, async_url):
+        """``X-Content-Length`` is another header, not the body length."""
+        payload = GOLDEN_PAYLOADS[2]
+        wire = _post_wire(json.dumps(payload).encode(),
+                          b"X-Content-Length: 2\r\n")
+        answers, closed = _exchange(async_url, wire + wire, 2, timeout=10.0)
+        assert not closed
+        fingerprint = request_from_payload(payload).fingerprint()
+        assert [(status, resp["request_id"]) for status, resp in answers] == [
+            (200, fingerprint), (200, fingerprint)]
+
+
 class TestBackpressure:
     @pytest.fixture
     def saturated_url(self):
@@ -213,24 +258,6 @@ class TestBackpressure:
         assert info.value.status == 503
         assert info.value.retry_after_s is not None
         assert info.value.retry_after_s > 0
-
-    def test_503_on_threaded_server_too(self):
-        server = make_server(
-            service=DecisionService(max_queue_depth=0, max_wait_ms=0.0))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            with pytest.raises(ServiceError) as info:
-                ServiceClient(f"http://{host}:{port}").allocate(
-                    [{"work": 321.0}], "taihulight")
-            assert info.value.status == 503
-            assert info.value.retry_after_s is not None
-        finally:
-            server.shutdown()
-            server.server_close()
-            server.service.close()
-            thread.join(5)
 
     def test_rejections_counted(self, saturated_url):
         client = ServiceClient(saturated_url)

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.service.cache import DecisionCache
+from repro.cache import LRUCache as DecisionCache
 from repro.types import ModelError
 
 

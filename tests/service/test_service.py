@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+import dataclasses
 import threading
 
 import numpy as np
@@ -9,8 +11,15 @@ import pytest
 
 from repro.core import get_scheduler
 from repro.machine import taihulight
-from repro.service import AllocationRequest, DecisionService, compute_decision
+from repro.cache import TieredCache
+from repro.service import (
+    AllocationRequest,
+    DecisionService,
+    compute_decision,
+    request_from_payload,
+)
 from repro.service import dispatcher as dispatcher_mod
+from repro.service.batcher import QueueFullError
 from repro.types import ModelError
 from repro.workloads import npb6, npb_synth
 
@@ -176,14 +185,73 @@ class TestServing:
         assert resp.latency_ms > 0
         assert service.metrics()["decisions.latency_seconds_total"] > 0
 
-    def test_allocate_payload(self, service):
-        resp = service.allocate_payload({
+    def test_allocate_wire_payload(self, service):
+        resp = service.allocate(request_from_payload({
             "applications": [{"work": 1e9, "access_freq": 0.5,
                               "miss_rate": 0.01}],
             "platform": "taihulight",
-        })
+        }))
         assert resp.decision.procs == (256.0,)
 
     def test_knob_validation(self):
         with pytest.raises(ModelError):
             DecisionService(max_wait_ms=-1.0)
+
+
+def _blocking(svc, request):
+    return svc.allocate(request)
+
+
+def _awaited(svc, request):
+    return asyncio.run(svc.allocate_async(request))
+
+
+class TestOneServingPath:
+    """``allocate`` and ``allocate_async`` differ only in how they wait."""
+
+    def _session(self, call, request6):
+        bad = dataclasses.replace(request6, scheduler="magic")
+        with DecisionService(max_wait_ms=0.0) as svc:
+            miss = call(svc, request6)
+            hit = call(svc, request6)
+            with pytest.raises(ModelError):
+                call(svc, bad)
+            metrics = svc.metrics()
+        with DecisionService(max_queue_depth=0, max_wait_ms=0.0) as svc:
+            with pytest.raises(QueueFullError):
+                call(svc, request6)
+            shed = svc.metrics()
+        return miss, hit, metrics, shed
+
+    def test_same_responses_and_counters(self, request6):
+        sync = self._session(_blocking, request6)
+        awaited = self._session(_awaited, request6)
+        for a, b in zip(sync[:2], awaited[:2]):
+            assert dataclasses.replace(a, latency_ms=0.0) == \
+                dataclasses.replace(b, latency_ms=0.0)
+        assert not sync[0].cache_hit and sync[1].cache_hit
+        for a, b in zip(sync[2:], awaited[2:]):
+            timing = {k for k in a if k.startswith("latency.")
+                      or k.endswith("seconds_total")}
+            assert {k: v for k, v in a.items() if k not in timing} == \
+                {k: v for k, v in b.items() if k not in timing}
+        metrics, shed = sync[2], sync[3]
+        assert metrics["decisions.errors"] == 1
+        assert metrics["decisions.total"] == 2
+        assert metrics["decisions.inflight"] == 0
+        assert shed["decisions.errors"] == 1 and shed["batcher.rejected"] == 1
+        assert shed["decisions.inflight"] == 0
+
+    @pytest.mark.parametrize("call", [_blocking, _awaited])
+    def test_cache_looked_up_at_call_time(self, call, request6, monkeypatch):
+        """Per-layer tracing patches the cache class after construction."""
+        seen = []
+        get, put = TieredCache.get, TieredCache.put
+        with DecisionService(max_wait_ms=0.0) as svc:
+            monkeypatch.setattr(TieredCache, "get", lambda self, key: (
+                seen.append("get"), get(self, key))[1])
+            monkeypatch.setattr(TieredCache, "put", lambda self, key, value: (
+                seen.append("put"), put(self, key, value))[1])
+            call(svc, request6)
+            call(svc, request6)
+        assert seen == ["get", "put", "get"]

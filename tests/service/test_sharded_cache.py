@@ -7,12 +7,9 @@ import threading
 
 import pytest
 
-from repro.service.cache import (
-    CacheStats,
-    DecisionCache,
-    ShardedCacheStats,
-    ShardedDecisionCache,
-)
+from repro.cache import CacheStats, ShardedCacheStats
+from repro.cache import LRUCache as DecisionCache
+from repro.cache import ShardedClockCache as ShardedDecisionCache
 from repro.types import ModelError
 
 

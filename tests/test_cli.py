@@ -27,6 +27,19 @@ class TestParser:
         assert args.port == 9000 and args.max_batch == 8
         assert args.max_wait_ms == 5.0 and args.cache_capacity == 64
 
+    def test_serve_workers_are_processes_and_async_is_a_noop(self, monkeypatch):
+        import repro.service.aserver as aserver
+
+        calls = []
+        monkeypatch.setattr(aserver, "serve_async",
+                            lambda *a, **kw: calls.append((a[:2], kw["workers"])))
+        assert build_parser().parse_args(["serve"]).workers == 1
+        assert main(["serve", "--port", "0"]) == 0
+        assert main(["serve", "--async", "--workers", "1", "--port", "0"]) == 0
+        assert main(["serve", "--workers", "3", "--port", "0"]) == 0
+        assert calls == [(("127.0.0.1", 0), 1), (("127.0.0.1", 0), 1),
+                         (("127.0.0.1", 0), 3)]
+
     def test_request_args(self):
         args = build_parser().parse_args(
             ["request", "--url", "http://h:1", "--napps", "4",
@@ -171,27 +184,18 @@ class TestCommands:
         assert "REPRO_CACHE_DIR" in capsys.readouterr().err
 
     def test_request_against_live_server(self, capsys):
-        import threading
-
-        from repro.service import DecisionService, make_server
+        from repro.service import AsyncServerThread, DecisionService
 
         service = DecisionService(max_wait_ms=0.5, workers=2)
-        server = make_server("127.0.0.1", 0, service)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
         try:
-            host, port = server.server_address[:2]
-            url = f"http://{host}:{port}"
-            assert main(["request", "--url", url, "--napps", "4",
-                         "--repeat", "2"]) == 0
+            with AsyncServerThread(service) as server:
+                assert main(["request", "--url", server.url, "--napps", "4",
+                             "--repeat", "2"]) == 0
             captured = capsys.readouterr()
             assert "makespan" in captured.out
             assert "decision-cache hit" in captured.err
         finally:
-            server.shutdown()
-            server.server_close()
             service.close()
-            thread.join(timeout=5)
 
     def test_request_unreachable_server(self):
         from repro.types import ReproError
